@@ -7,10 +7,9 @@ costs one attribute check and one constant-returning call -- so the
 acceptance bar is two-sided:
 
 * tracing **off** must be statistically negligible: the NullTracer
-  path *is* the default engine hot path, and E13's incremental speedup
-  bar (which runs in the same CI job on that exact path) would fail if
-  instrumentation had made epochs measurably slower than the PR-3
-  baseline it was calibrated against;
+  path *is* the default engine hot path, and E17's vector speedup bars
+  (which run in the same CI job on that exact path) would fail if
+  instrumentation had made epochs measurably slower;
 * tracing **on** -- full span tree, per-verdict provenance instants,
   latency histograms -- must cost < 10% per epoch at 80 nodes.
 

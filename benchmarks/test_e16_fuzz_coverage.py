@@ -19,7 +19,7 @@ from repro.experiments import FuzzCoverageStudy, format_table
 
 CASES = 40
 MUTATION_MAX_CASES = 60
-MODES = ("full", "incremental", "streamed")
+MODES = ("full", "vector", "streamed")
 
 
 def test_fuzz_coverage_and_mutation_kill(benchmark, write_result):

@@ -165,14 +165,11 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 def _cmd_engine(args: argparse.Namespace) -> int:
     import json
 
-    from repro.control.metrics import engine_metrics, engine_registry, render_engine_metrics
+    from repro.control.metrics import engine_registry
     from repro.engine import EngineStats, ValidationEngine, compare_reports
     from repro.experiments import format_table
     from repro.scenarios import all_scenarios, scenario_by_id
 
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
     try:
         scenarios = (
             [scenario_by_id(args.scenario)] if args.scenario else all_scenarios()
@@ -196,7 +193,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    totals = EngineStats(shards=args.shards, mode=args.mode, backend=args.backend)
+    totals = EngineStats(backend=args.backend)
     rows = []
     mismatched = 0
     for scenario in scenarios:
@@ -208,8 +205,6 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         with ValidationEngine(
             world.topology,
             config=world.hodor_config,
-            shards=args.shards,
-            mode=args.mode,
             backend=args.backend,
             tracer=tracer,
             metrics=registry,
@@ -271,7 +266,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     print(totals.render())
     if args.metrics:
         print()
-        print(render_engine_metrics(engine_metrics(totals)))
+        print(engine_registry(totals).render(), end="")
     return 1 if mismatched else 0
 
 
@@ -316,7 +311,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     epochs=args.epochs,
                     seed=args.seed,
                     perturb=perturb,
-                    mode=args.mode,
                     backend=args.backend,
                     lateness_s=args.lateness,
                     queue_size=args.queue_size,
@@ -405,7 +399,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         with ValidationEngine(
             world.topology,
             config=world.hodor_config,
-            mode=args.mode,
             backend=args.backend,
             metrics=registry,
         ) as engine:
@@ -522,7 +515,7 @@ def _parse_budget(raw: str) -> float:
 
 def _self_test_hook(index, report):
     """The planted mode-divergence bug for ``fuzz --self-test``: flip
-    one verdict in the incremental path so every case diverges."""
+    one verdict in the vector path so every case diverges."""
     import dataclasses
 
     if not report.verdicts:
@@ -551,9 +544,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 2
 
     if args.self_test:
-        # Plant a divergence bug in the incremental mode and prove the
+        # Plant a divergence bug in the vector mode and prove the
         # whole find -> shrink -> emit loop catches it.
-        oracle = TriModalOracle(hooks={"incremental": _self_test_hook})
+        oracle = TriModalOracle(hooks={"vector": _self_test_hook})
         with tempfile.TemporaryDirectory() as scratch:
             runner = FuzzRunner(
                 seed=args.seed,
@@ -567,7 +560,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             wrote = [o.reproducer_path for o in report.outcomes if o.reproducer_path]
         ok = report.failures == 1 and len(wrote) == 1
         print(
-            "self-test: planted incremental-mode divergence "
+            "self-test: planted vector-mode divergence "
             + ("found and reproduced" if ok else "NOT caught")
         )
         return 0 if ok else 1
@@ -760,14 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--epochs", type=int, default=3, help="epochs per scenario timeline"
     )
-    engine.add_argument("--shards", type=int, default=2)
     engine.add_argument("--seed", type=int, default=1)
-    engine.add_argument(
-        "--mode",
-        choices=("full", "incremental"),
-        default="full",
-        help="epoch path: recompute everything or reuse unchanged verdicts",
-    )
     engine.add_argument(
         "--backend",
         choices=("python", "vector"),
@@ -775,7 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation backend: per-entity units or array-compiled epochs",
     )
     engine.add_argument(
-        "--metrics", action="store_true", help="also print exporter-style metrics"
+        "--metrics",
+        action="store_true",
+        help="also print the engine counters as Prometheus text exposition",
     )
     engine.add_argument(
         "--json",
@@ -814,12 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs", type=int, default=3, help="epochs per scenario timeline (or soak)"
     )
     stream.add_argument("--seed", type=int, default=1)
-    stream.add_argument(
-        "--mode",
-        choices=("full", "incremental"),
-        default="full",
-        help="engine epoch path for the streamed validation",
-    )
     stream.add_argument(
         "--backend",
         choices=("python", "vector"),

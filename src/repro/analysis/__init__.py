@@ -1,12 +1,12 @@
 """hodor-lint: static purity/determinism analysis of the pipeline.
 
-The incremental engine's correctness argument (see
-:mod:`repro.engine.incremental`) rests on code-level invariants nothing
-at runtime can check: per-entity units must be pure functions of their
-declared inputs, stages must not read or write hidden module state,
-iteration feeding ordered reports must be deterministically ordered,
-and every serial stage must have a per-entity counterpart wired into
-the incremental path.  This package verifies those invariants
+The delta-aware vector backend's correctness argument (see
+:mod:`repro.core.vector.backend`) rests on code-level invariants
+nothing at runtime can check: per-entity units must be pure functions
+of their declared inputs, stages must not read or write hidden module
+state, iteration feeding ordered reports must be deterministically
+ordered, and every per-entity unit of the serial stages must be
+accounted for by the vector backend.  This package verifies those invariants
 mechanically, over the AST, on every commit -- the same move the paper
 makes for controller inputs, applied to our own pipeline.
 
@@ -27,9 +27,9 @@ Rule catalog (see ``docs/LINT.md`` for rationale):
   snapshot/update/epoch values must pass a declared sanitizer before
   reaching a verdict/report/apply sink (``--explain T1`` shows the
   call-graph taint path);
-- **C1** full/incremental/vector registry parity (every per-entity
-  unit wired into the serial pipeline, ``engine/incremental.py``, and
-  the vector backend);
+- **C1** python-units vs vector-manifest registry parity (every
+  per-entity unit run by the serial pipeline and accounted for by the
+  vector backend);
 - **L1** unused ``# lint: ignore[...]`` suppression.
 
 Entry points: ``python -m repro lint`` (CLI) or :func:`run_lint`

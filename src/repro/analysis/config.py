@@ -150,16 +150,13 @@ class LintConfig:
             untroubled runs -- collapses if digests, admission
             decisions, or dispatch order pick up wall time or global
             RNG.
-        incremental_path: POSIX-relative path (from the lint root) of
-            the module that must wire every per-entity unit (C1).
         vector_path: POSIX-relative path (from the lint root) of the
-            array-compiled backend module.  C1 extends to three-way
-            parity: every per-entity unit must also be accounted for
-            there -- dispatched on the exceptional path, or named in
-            the module's replacement manifest (its docstring) where
-            the unit is replicated as array math.  Missing module ==
-            vacuously satisfied, so fixture trees without a vector
-            backend stay clean.
+            array-compiled backend module.  C1 requires every
+            per-entity unit to be accounted for there -- dispatched on
+            the exceptional path, or named in the module's replacement
+            manifest (its docstring) where the unit is replicated as
+            array math.  Missing module == vacuously satisfied, so
+            fixture trees without a vector backend stay clean.
         enabled_codes: Rule codes to run; empty means all.
         wall_clock_allowed: Dotted call names exempt from the D1
             wall-clock check.  ``perf_counter``/``monotonic`` feed
@@ -206,7 +203,6 @@ class LintConfig:
     core_dirs: FrozenSet[str] = frozenset(
         {"core", "engine", "fleet", "fuzz", "history", "obs", "stream"}
     )
-    incremental_path: str = "engine/incremental.py"
     vector_path: str = "core/vector/backend.py"
     enabled_codes: FrozenSet[str] = frozenset()
     wall_clock_allowed: FrozenSet[str] = frozenset(
@@ -289,7 +285,6 @@ class LintConfig:
         canonical = {
             "entity_patterns": list(self.entity_patterns),
             "core_dirs": sorted(self.core_dirs),
-            "incremental_path": self.incremental_path,
             "vector_path": self.vector_path,
             "enabled_codes": sorted(self.enabled_codes),
             "wall_clock_allowed": sorted(self.wall_clock_allowed),

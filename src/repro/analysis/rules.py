@@ -262,7 +262,7 @@ class ArgMutationRule(Rule):
     code = "P1"
     title = "per-entity unit mutates a value derived from its arguments"
     rationale = (
-        "The incremental engine reuses a unit's previous output whenever its "
+        "The vector backend reuses a unit's previous output whenever its "
         "inputs did not change; that is only sound if units never mutate "
         "their arguments (collected state, snapshots, hardened state) or "
         "anything reachable from them."
@@ -295,7 +295,7 @@ class ModuleStateRule(Rule):
     rationale = (
         "Hidden module state makes a stage's output depend on call history, "
         "which breaks per-entity reuse and report-for-report parity between "
-        "the full and incremental paths.  State must flow through explicit "
+        "the python and vector paths.  State must flow through explicit "
         "arguments or per-instance fields."
     )
 
@@ -407,7 +407,7 @@ class NondeterminismRule(Rule):
     title = "nondeterminism hazard in a core stage"
     rationale = (
         "Validation must be replayable: the same snapshot and inputs must "
-        "yield the identical report in full and incremental mode, across "
+        "yield the identical report on the python and vector backends, across "
         "processes and PYTHONHASHSEED values.  Global RNG calls, wall-clock "
         "and event-loop clock reads, set iteration feeding ordered output, "
         "and id()-keyed maps all break that."
@@ -683,7 +683,7 @@ class FloatEqualityRule(Rule):
         "across code paths; exact equality silently becomes never-equal.  "
         "Use the tolerance helpers (math.isclose, Invariant.evaluate, "
         "_relative_gap).  Where exact identity IS the contract -- e.g. the "
-        "incremental engine's reuse guards, where a spurious difference "
+        "vector backend's reuse guards, where a spurious difference "
         "only costs a recompute -- suppress with a rationale."
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.net.demand import DemandMatrix
 from repro.net.simulation import GroundTruth
@@ -25,8 +25,6 @@ __all__ = [
     "HealthReport",
     "assess_health",
     "engine_registry",
-    "engine_metrics",
-    "render_engine_metrics",
 ]
 
 
@@ -125,11 +123,7 @@ def engine_registry(
     conventions: monotonically accumulating quantities are counters
     with a ``_total`` suffix; ratios and configuration are gauges.
     Per-stage quantities use a ``stage`` label, with the aggregate
-    epoch time under ``engine_stage_seconds_total{stage="all"}``; the
-    flat :func:`engine_metrics` view exposes that sample as
-    ``engine_stage_seconds_all`` (the bare pre-observatory name
-    ``engine_stage_seconds_total`` collided with the counter suffix
-    convention and is gone from the flat view as of PR 5).
+    epoch time under ``engine_stage_seconds_total{stage="all"}``.
 
     Projection uses absolute snapshot writes (``set_to``), so re-running
     it against a shared ``registry`` (e.g. the engine's own, which
@@ -150,9 +144,6 @@ def engine_registry(
     reg.counter(
         "engine_cache_misses_total", "Epochs that had to build topology structures."
     ).set_to(stats.cache_misses)
-    reg.counter(
-        "engine_shard_tasks_total", "Slice-worker invocations dispatched to the pool."
-    ).set_to(stats.shard_tasks)
     reg.counter(
         "engine_entities_recomputed_total",
         "Per-entity units computed fresh, summed over stages.",
@@ -191,10 +182,7 @@ def engine_registry(
     for stage in sorted(stats.entities_reused):
         reused.labels(stage=stage).set_to(stats.entities_reused[stage])
 
-    reg.gauge("engine_shards", "Configured shard count.").set(stats.shards)
     # Info-style gauge: one sample, value 1, the backend as a label.
-    # Deliberately absent from the legacy flat view -- the PR-3 golden
-    # payloads pin that key set.
     reg.gauge(
         "engine_backend_info",
         "Active evaluation backend (value 1 on the active label).",
@@ -203,9 +191,6 @@ def engine_registry(
     reg.gauge(
         "engine_cache_hit_rate", "Fraction of epochs served from the topology cache."
     ).set(stats.cache_hit_rate)
-    reg.gauge(
-        "engine_shard_utilisation", "Shard-pool busy time over capacity (1.0 = saturated)."
-    ).set(stats.shard_utilisation())
     reg.gauge("engine_mean_epoch_ms", "Mean wall-clock per validation pass (ms).").set(
         stats.mean_epoch_ms()
     )
@@ -213,64 +198,3 @@ def engine_registry(
         "engine_reuse_rate", "Fraction of per-entity units served without recomputation."
     ).set(stats.reuse_rate())
     return reg
-
-
-#: Canonical registry name -> legacy flat-dict key (unlabelled families).
-_LEGACY_FLAT = {
-    "engine_epochs_total": "engine_epochs",
-    "engine_cache_hits_total": "engine_cache_hits",
-    "engine_cache_misses_total": "engine_cache_misses",
-    "engine_shard_tasks_total": "engine_shard_tasks",
-    "engine_entities_recomputed_total": "engine_entities_recomputed",
-    "engine_entities_reused_total": "engine_entities_reused",
-    "engine_repair_solves_total": "engine_repair_solves",
-    "engine_repair_reuses_total": "engine_repair_reuses",
-    "engine_shards": "engine_shards",
-    "engine_cache_hit_rate": "engine_cache_hit_rate",
-    "engine_shard_utilisation": "engine_shard_utilisation",
-    "engine_mean_epoch_ms": "engine_mean_epoch_ms",
-    "engine_reuse_rate": "engine_reuse_rate",
-}
-
-
-def _legacy_key(name: str, labels: Dict[str, str]) -> Optional[str]:
-    """Map one canonical registry sample onto its legacy flat key."""
-    if name == "engine_stage_seconds_total":
-        stage = labels["stage"]
-        return "engine_stage_seconds_all" if stage == "all" else f"engine_stage_seconds_{stage}"
-    if name == "engine_stage_recomputed_total":
-        return f"engine_recomputed_{_metric_stage(labels['stage'])}"
-    if name == "engine_stage_reused_total":
-        return f"engine_reused_{_metric_stage(labels['stage'])}"
-    return _LEGACY_FLAT.get(name)
-
-
-def engine_metrics(stats: "EngineStats") -> Dict[str, float]:
-    """Flatten engine counters into an exportable metric mapping.
-
-    Compatibility view over :func:`engine_registry`: every key the
-    pre-observatory exporter produced is preserved (the PR-3 golden
-    payloads depend on them), derived from the canonical registry
-    samples.  The aggregate stage time is exported as
-    ``engine_stage_seconds_all``.  The pre-observatory flat name
-    ``engine_stage_seconds_total`` -- which collides with the
-    Prometheus counter suffix convention -- shipped as a deprecated
-    alias in PR 4 and was removed in PR 5; the labelled registry family
-    of the same name is unaffected.
-    """
-    metrics: Dict[str, float] = {}
-    for name, labels, value in engine_registry(stats).samples():
-        key = _legacy_key(name, labels)
-        if key is not None:
-            metrics[key] = float(value)
-    return metrics
-
-
-def _metric_stage(stage: str) -> str:
-    """Fine-grained stage label -> exporter-safe metric suffix."""
-    return stage.replace(".", "_")
-
-
-def render_engine_metrics(metrics: Dict[str, float]) -> str:
-    """One ``name value`` line per metric, in name order."""
-    return "\n".join(f"{name} {metrics[name]:.6g}" for name in sorted(metrics))

@@ -17,11 +17,10 @@ finding.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import HodorConfig
 from repro.core.drain_reasons import parse_reason
-from repro.core.parallel import SliceParallel, map_slices
 from repro.core.signals import (
     CollectedCounter,
     CollectedState,
@@ -61,19 +60,14 @@ class SignalCollector:
     def __init__(self, config: Optional[HodorConfig] = None) -> None:
         self._config = config or HodorConfig()
 
-    def collect(
-        self, snapshot: NetworkSnapshot, parallel: SliceParallel = None
-    ) -> CollectedState:
+    def collect(self, snapshot: NetworkSnapshot) -> CollectedState:
         """Coerce every signal in the snapshot into typed form.
 
         Args:
             snapshot: The raw telemetry snapshot.
-            parallel: Optional slice-parallel executor (see
-                :mod:`repro.core.parallel`); ``None`` runs the serial
-                reference path.
         """
         state = CollectedState(timestamp=snapshot.timestamp)
-        self._collect_counters(snapshot, state, parallel)
+        self._collect_counters(snapshot, state)
         self._collect_statuses(snapshot, state)
         self._collect_drains(snapshot, state)
         self._collect_drops(snapshot, state)
@@ -83,37 +77,14 @@ class SignalCollector:
     # ------------------------------------------------------------------
 
     def _collect_counters(
-        self,
-        snapshot: NetworkSnapshot,
-        state: CollectedState,
-        parallel: SliceParallel = None,
+        self, snapshot: NetworkSnapshot, state: CollectedState
     ) -> None:
-        keys = sorted(snapshot.counters)
-        for counters, findings in map_slices(
-            parallel,
-            lambda slice_keys: self.collect_counter_slice(snapshot, slice_keys),
-            keys,
-        ):
-            state.counters.update(counters)
-            state.findings.extend(findings)
-
-    def collect_counter_slice(
-        self, snapshot: NetworkSnapshot, keys: Sequence[Tuple[str, str]]
-    ) -> Tuple[Dict[Tuple[str, str], CollectedCounter], List[Finding]]:
-        """Counter coercion over one contiguous slice of counter keys.
-
-        The slice worker behind :meth:`collect`; the serial path calls
-        it once with every (sorted) key, the engine once per shard.
-        """
-        counters: Dict[Tuple[str, str], CollectedCounter] = {}
-        findings: List[Finding] = []
-        for key in keys:
+        for key in sorted(snapshot.counters):
             counter, counter_findings = self.collect_counter_entity(
                 snapshot.timestamp, key, snapshot.counters[key]
             )
-            counters[key] = counter
-            findings.extend(counter_findings)
-        return counters, findings
+            state.counters[key] = counter
+            state.findings.extend(counter_findings)
 
     def collect_counter_entity(
         self,
@@ -124,9 +95,8 @@ class SignalCollector:
         """Coerce one interface's counter reading (pure per-entity unit).
 
         Depends only on the snapshot timestamp and this one reading, so
-        the incremental engine reuses its output verbatim whenever the
-        :class:`~repro.telemetry.delta.SnapshotDelta` says the reading
-        did not change.
+        the vector backend can reuse its output verbatim whenever the
+        reading did not change.
         """
         subject = f"{key[0]}->{key[1]}"
         if snapshot_timestamp - reading.timestamp > self._config.max_staleness_s:

@@ -28,11 +28,10 @@ demand enters before any drop.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.core.config import HodorConfig
 from repro.core.invariants import CheckResult, Invariant, InvariantResult
-from repro.core.parallel import SliceParallel, map_slices
 from repro.core.signals import HardenedState
 from repro.net.demand import DemandMatrix
 
@@ -61,12 +60,7 @@ class DemandChecker:
         self._config = config or HodorConfig()
         self._cache = cache
 
-    def check(
-        self,
-        demand: DemandMatrix,
-        hardened: HardenedState,
-        parallel: SliceParallel = None,
-    ) -> CheckResult:
+    def check(self, demand: DemandMatrix, hardened: HardenedState) -> CheckResult:
         """Evaluate the 2v demand invariants.
 
         Routers present in the hardened state but absent from the
@@ -77,9 +71,6 @@ class DemandChecker:
         Args:
             demand: The demand matrix under validation.
             hardened: Step-2 output for this epoch.
-            parallel: Optional slice-parallel executor (see
-                :mod:`repro.core.parallel`); ``None`` runs the serial
-                reference path.
         """
         result = CheckResult(input_name="demand")
         floor = max(self._config.rate_floor, self._config.active_threshold)
@@ -88,14 +79,12 @@ class DemandChecker:
         if total_dropped > floor:
             result.notes.append(self.dropped_note(total_dropped))
 
-        hardened_nodes = self._hardened_nodes(hardened)
-        for invariants, notes in map_slices(
-            parallel,
-            lambda nodes: self.check_node_slice(demand, hardened, nodes, total_dropped),
-            hardened_nodes,
-        ):
-            result.results.extend(invariants)
-            result.notes.extend(notes)
+        for node in self._hardened_nodes(hardened):
+            node_invariants, node_notes = self.check_node_entity(
+                demand, hardened, node, total_dropped
+            )
+            result.results.extend(node_invariants)
+            result.notes.extend(node_notes)
 
         skipped = result.num_skipped
         if skipped:
@@ -122,28 +111,6 @@ class DemandChecker:
             return self._cache.sorted_nodes
         return sorted(nodes)
 
-    def check_node_slice(
-        self,
-        demand: DemandMatrix,
-        hardened: HardenedState,
-        nodes: Sequence[str],
-        total_dropped: float,
-    ) -> Tuple[List[InvariantResult], List[str]]:
-        """Row/col-sum invariants for one contiguous slice of routers.
-
-        The slice worker behind :meth:`check`; the serial path calls it
-        once with every router, the engine once per shard.
-        """
-        invariants: List[InvariantResult] = []
-        notes: List[str] = []
-        for node in nodes:
-            node_invariants, node_notes = self.check_node_entity(
-                demand, hardened, node, total_dropped
-            )
-            invariants.extend(node_invariants)
-            notes.extend(node_notes)
-        return invariants, notes
-
     def check_node_entity(
         self,
         demand: DemandMatrix,
@@ -156,7 +123,7 @@ class DemandChecker:
         Depends on the demand matrix, this router's hardened external
         counters, and the network-wide ``total_dropped`` (which widens
         the egress tolerance) -- a change to any of those dirties the
-        node in incremental mode.
+        node on the delta-aware vector backend.
         """
         tau_e = self._config.tau_e
         floor = max(self._config.rate_floor, self._config.active_threshold)

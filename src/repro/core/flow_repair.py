@@ -117,8 +117,8 @@ class ConservationSolveCache:
     indistinguishable.
 
     Across epochs with low churn, the folded right-hand side of an
-    untouched corrupted region repeats verbatim, so the incremental
-    engine's R2 stage degenerates to dictionary lookups.
+    untouched corrupted region repeats verbatim, so the vector
+    backend's R2 stage degenerates to dictionary lookups.
 
     Args:
         max_entries: Evict least-recently-used solutions beyond this.

@@ -25,13 +25,12 @@ snapshot:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.config import HodorConfig
 from repro.core.drain_reasons import reason_allows_traffic
 from repro.core.flow_repair import ConservationSolveCache
 from repro.core.link_status import LinkEvidence, combine_link_evidence
-from repro.core.parallel import SliceParallel, map_slices
 from repro.core.signals import (
     CollectedState,
     Confidence,
@@ -92,20 +91,15 @@ class Hardener:
             cache = TopologyCache.from_topology(reference)
         self._cache = cache
 
-    def harden(
-        self, collected: CollectedState, parallel: SliceParallel = None
-    ) -> HardenedState:
+    def harden(self, collected: CollectedState) -> HardenedState:
         """Produce the trusted low-level view of the network.
 
         Args:
             collected: Step-1 output for this epoch.
-            parallel: Optional slice-parallel executor (see
-                :mod:`repro.core.parallel`); ``None`` runs the serial
-                reference path.
         """
         state = HardenedState()
         state.findings.extend(collected.findings)
-        self._harden_flows(collected, state, parallel)
+        self._harden_flows(collected, state)
         self.repair_flows(collected, state)
         self._harden_link_status(collected, state)
         self._harden_drains(collected, state)
@@ -116,45 +110,20 @@ class Hardener:
     # Step 2a: R1 detection over counters
     # ------------------------------------------------------------------
 
-    def _harden_flows(
-        self,
-        collected: CollectedState,
-        state: HardenedState,
-        parallel: SliceParallel = None,
-    ) -> None:
-        for flows, findings in map_slices(
-            parallel,
-            lambda edges: self.harden_flow_slice(collected, edges),
-            self._cache.directed_edges,
-        ):
-            state.edge_flows.update(flows)
-            state.findings.extend(findings)
-
-        for ext_in, ext_out, drops, findings in map_slices(
-            parallel,
-            lambda nodes: self.harden_external_slice(collected, nodes),
-            self._cache.nodes,
-        ):
-            state.ext_in.update(ext_in)
-            state.ext_out.update(ext_out)
-            state.drops.update(drops)
-            state.findings.extend(findings)
-
-    def harden_flow_slice(
-        self, collected: CollectedState, edges: Sequence[Tuple[str, str]]
-    ) -> Tuple[Dict[Tuple[str, str], HardenedValue], List[Finding]]:
-        """R1 symmetry over one contiguous slice of directed edges.
-
-        The slice worker behind :meth:`harden`; the serial path calls
-        it once with every edge, the engine once per shard.
-        """
-        findings: List[Finding] = []
-        flows: Dict[Tuple[str, str], HardenedValue] = {}
-        for src, dst in edges:
+    def _harden_flows(self, collected: CollectedState, state: HardenedState) -> None:
+        for src, dst in self._cache.directed_edges:
             flow, flow_findings = self.harden_edge_entity(collected, src, dst)
-            flows[(src, dst)] = flow
-            findings.extend(flow_findings)
-        return flows, findings
+            state.edge_flows[(src, dst)] = flow
+            state.findings.extend(flow_findings)
+
+        for node in self._cache.nodes:
+            node_in, node_out, node_drop, node_findings = self.harden_external_entity(
+                collected, node
+            )
+            state.ext_in[node] = node_in
+            state.ext_out[node] = node_out
+            state.drops[node] = node_drop
+            state.findings.extend(node_findings)
 
     def harden_edge_entity(
         self, collected: CollectedState, src: str, dst: str
@@ -162,7 +131,7 @@ class Hardener:
         """R1 symmetry for one directed edge (pure per-entity unit).
 
         Reads only the two interface counters measuring this edge, so
-        the incremental engine reuses its output whenever neither
+        the vector backend can reuse its output whenever neither
         counter changed.
         """
         findings: List[Finding] = []
@@ -171,29 +140,6 @@ class Hardener:
         tx = tx_side.tx if tx_side else None
         rx = rx_side.rx if rx_side else None
         return self._symmetry_check(src, dst, tx, rx, findings), tuple(findings)
-
-    def harden_external_slice(
-        self, collected: CollectedState, nodes: Sequence[str]
-    ) -> Tuple[
-        Dict[str, HardenedValue],
-        Dict[str, HardenedValue],
-        Dict[str, HardenedValue],
-        List[Finding],
-    ]:
-        """External counters and drops for one slice of routers."""
-        findings: List[Finding] = []
-        ext_in: Dict[str, HardenedValue] = {}
-        ext_out: Dict[str, HardenedValue] = {}
-        drops: Dict[str, HardenedValue] = {}
-        for node in nodes:
-            node_in, node_out, node_drop, node_findings = self.harden_external_entity(
-                collected, node
-            )
-            ext_in[node] = node_in
-            ext_out[node] = node_out
-            drops[node] = node_drop
-            findings.extend(node_findings)
-        return ext_in, ext_out, drops, findings
 
     def harden_external_entity(
         self, collected: CollectedState, node: str
@@ -302,7 +248,7 @@ class Hardener:
         Returns:
             The :data:`~repro.core.flow_repair.VarKey` of every unknown
             a repaired value was actually written for, in emission
-            order -- the incremental engine's dirty-propagation seed.
+            order -- the vector backend patches exactly these slots.
         """
         if not self._config.enable_repair:
             return ()
@@ -327,9 +273,9 @@ class Hardener:
         if not result.is_consistent(self._config.repair_residual_tol):
             # In-place repair IS repair_flows()'s documented contract:
             # it upgrades `state` and reports what it wrote.  The
-            # incremental engine accounts for this by re-running repair
-            # whenever any of its inputs is dirty (never reusing a
-            # mutated state across epochs).
+            # vector backend accounts for this by re-running repair
+            # whenever any unknown remains (never reusing a mutated
+            # state across epochs).
             state.findings.append(  # lint: ignore[P1]
                 Finding(
                     code="R2_INCONSISTENT",

@@ -1,6 +1,6 @@
 """Structural comparison of validation reports.
 
-The engine's correctness claim is that sharded, cache-backed
+The engine's correctness claim is that cache-backed, delta-aware
 validation is *observably identical* to the serial pipeline: same
 verdicts, same invariants in the same order, same findings in the same
 order, same hardened values.  :func:`compare_reports` checks that

@@ -8,18 +8,18 @@ It keeps three things alive across validation passes:
    on an unchanged topology reuses the memoized topology-derived
    structures (directed-edge order, incidence maps, conservation
    equation blocks) instead of rebuilding them.
-2. A :class:`~repro.engine.sharding.ShardMap`, which slices the
-   per-signal pipeline stages (counter collection, R1 symmetry, the
-   per-router demand invariants) across a thread pool.  Slices are
-   contiguous and merged in order, so the engine's reports are
-   *identical* to the serial path's -- the differential harness in
-   ``tests/engine`` asserts this verdict for verdict.
+2. One validator per topology fingerprint: the per-entity python
+   units (``backend="python"``) or the delta-aware array-compiled
+   :class:`~repro.core.vector.VectorValidator` (``backend="vector"``).
+   Either way the engine's reports are *identical* to the serial
+   path's -- the differential harness in ``tests/engine`` asserts
+   this verdict for verdict.
 3. :class:`~repro.engine.stats.EngineStats` counters: epochs, cache
-   hits/misses, per-stage wall time, shard utilisation.
+   hits/misses, per-stage wall time, entity reuse.
 
 Example:
     >>> from repro.engine import ValidationEngine
-    >>> engine = ValidationEngine(topology, shards=4)
+    >>> engine = ValidationEngine(topology, backend="vector")
     >>> for epoch in timeline:
     ...     report = engine.validate(epoch.snapshot, epoch.inputs)
     >>> engine.stats.cache_hits   # doctest: +SKIP
@@ -46,8 +46,6 @@ from repro.core.pipeline import Hodor
 from repro.core.report import ValidationReport
 from repro.core.topology_check import TopologyChecker
 from repro.engine.cache import TopologyCache, TopologyCacheStore, VectorModelStore
-from repro.engine.incremental import IncrementalValidator
-from repro.engine.sharding import ShardMap
 from repro.engine.stats import STAGES, EngineStats
 from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
@@ -92,32 +90,25 @@ class _Components:
 
 
 class ValidationEngine:
-    """Streaming multi-epoch validation with sharding and caching.
+    """Streaming multi-epoch validation with topology caching.
 
     Args:
         reference: The design-time network model epochs default to.
         config: Thresholds and options; defaults follow the paper.
-        shards: Contiguous slices per sharded pipeline stage; ``1``
-            runs every stage inline (serial-equivalent, zero pool
-            overhead).
         cache_store: Optional shared topology-cache store; one is
             created when omitted.  Sharing a store across engines
             shares the memoized topology structures.
-        mode: ``"full"`` recomputes every epoch from scratch (sharded);
-            ``"incremental"`` diffs each snapshot against the previous
-            epoch and reuses every per-entity verdict whose inputs did
-            not change (see :mod:`repro.engine.incremental`).  Both
-            produce identical reports.
-        backend: ``"python"`` runs the per-entity reference units;
-            ``"vector"`` evaluates epochs on the array-compiled
-            topology model (see :mod:`repro.core.vector`), which is
-            internally delta-aware, so both modes route to the same
-            vector validator.  All four mode/backend combinations
-            produce identical reports (the differential harness and the
-            fuzz oracle enforce this).
+        backend: ``"python"`` recomputes every epoch through the
+            per-entity reference units; ``"vector"`` evaluates epochs
+            on the array-compiled topology model (see
+            :mod:`repro.core.vector`), which diffs each epoch against
+            the previous one and reuses every per-entity verdict whose
+            inputs did not change.  Both produce identical reports
+            (the differential harness and the fuzz oracle enforce
+            this).
         tracer: Optional :class:`repro.obs.trace.Tracer`.  When given,
-            every epoch records a span tree (epoch -> stage -> shard
-            slices, plus per-verdict provenance instants).  Defaults to
+            every epoch records a span tree (epoch -> stage, plus
+            per-verdict provenance instants).  Defaults to
             the allocation-free :class:`~repro.obs.trace.NullTracer`.
         metrics: Optional shared
             :class:`repro.obs.metrics.MetricsRegistry` to record the
@@ -130,23 +121,18 @@ class ValidationEngine:
             the stream pipeline, not both, or epochs record twice.
     """
 
-    _MODES = ("full", "incremental")
     _BACKENDS = ("python", "vector")
 
     def __init__(
         self,
         reference: Topology,
         config: Optional[HodorConfig] = None,
-        shards: int = 1,
         cache_store: Optional[TopologyCacheStore] = None,
-        mode: str = "full",
         backend: str = "python",
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         history: Optional["HistorySink"] = None,
     ) -> None:
-        if mode not in self._MODES:
-            raise ValueError(f"unknown engine mode {mode!r}; expected one of {self._MODES}")
         if backend not in self._BACKENDS:
             raise ValueError(
                 f"unknown engine backend {backend!r}; expected one of {self._BACKENDS}"
@@ -154,11 +140,8 @@ class ValidationEngine:
         self._reference = reference
         self._config = config or HodorConfig()
         self._store = cache_store or TopologyCacheStore()
-        self._shard_map = ShardMap(shards=shards)
-        self._mode = mode
         self._backend = backend
         self.tracer = tracer if tracer is not None else NullTracer()
-        self._shard_map.tracer = self.tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._epoch_hist = self.metrics.histogram(
             "engine_epoch_latency_seconds",
@@ -170,9 +153,8 @@ class ValidationEngine:
             labels=("stage",),
         )
         self.history = history
-        self.stats = EngineStats(shards=shards, mode=mode, backend=backend)
+        self.stats = EngineStats(backend=backend)
         self._components: "OrderedDict[str, _Components]" = OrderedDict()
-        self._incremental: "OrderedDict[str, IncrementalValidator]" = OrderedDict()
         self._vector: "OrderedDict[str, object]" = OrderedDict()
         self._model_store = VectorModelStore()
         self._max_component_sets = 32
@@ -181,10 +163,6 @@ class ValidationEngine:
     @property
     def config(self) -> HodorConfig:
         return self._config
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     @property
     def backend(self) -> str:
@@ -213,33 +191,17 @@ class ValidationEngine:
             self._components[cache.fingerprint] = components
             while len(self._components) > self._max_component_sets:
                 evicted, _ = self._components.popitem(last=False)
-                self._incremental.pop(evicted, None)
                 self._vector.pop(evicted, None)
         else:
             self._components.move_to_end(cache.fingerprint)
         return cache, components
 
-    def _incremental_for(
-        self, cache: TopologyCache, components: _Components
-    ) -> IncrementalValidator:
-        """One memoizing validator per topology fingerprint."""
-        validator = self._incremental.get(cache.fingerprint)
-        if validator is None:
-            validator = IncrementalValidator(
-                self._config, cache, components, self.stats, tracer=self.tracer
-            )
-            self._incremental[cache.fingerprint] = validator
-        else:
-            self._incremental.move_to_end(cache.fingerprint)
-        return validator
-
     def _vector_for(self, cache: TopologyCache, components: _Components):
         """One array-compiled validator per topology fingerprint.
 
-        The vector validator is internally delta-aware, so it serves
-        both engine modes; the compiled :class:`VectorModel` is shared
-        through :class:`~repro.engine.cache.VectorModelStore` and
-        survives validator eviction.
+        The compiled :class:`VectorModel` is shared through
+        :class:`~repro.engine.cache.VectorModelStore` and survives
+        validator eviction.
         """
         validator = self._vector.get(cache.fingerprint)
         if validator is None:
@@ -275,7 +237,10 @@ class ValidationEngine:
         reference = topology if topology is not None else self._reference
         tracer = self.tracer
         with tracer.span(
-            "epoch", epoch=self.stats.epochs, mode=self._mode, timestamp=snapshot.timestamp
+            "epoch",
+            epoch=self.stats.epochs,
+            backend=self._backend,
+            timestamp=snapshot.timestamp,
         ) as epoch_span:
             total_start = time.perf_counter()
             hits_before = self.stats.cache_hits
@@ -283,71 +248,57 @@ class ValidationEngine:
             if tracer.enabled:
                 epoch_span.annotate(cache_hit=self.stats.cache_hits > hits_before)
 
-            if self._backend == "vector" or self._mode == "incremental":
-                # The vector backend serves both modes with one
-                # delta-aware validator; python/incremental keeps the
-                # per-entity memoizing path.
-                validator = (
-                    self._vector_for(cache, components)
-                    if self._backend == "vector"
-                    else self._incremental_for(cache, components)
-                )
+            if self._backend == "vector":
                 stage_before = {
                     stage: self.stats.stage_seconds.get(stage, 0.0) for stage in STAGES
                 }
-                report = validator.validate(snapshot, inputs)
-                self.stats.epochs += 1
-                total_seconds = time.perf_counter() - total_start
-                self.stats.record_stage("total", total_seconds)
-                self._epoch_hist.observe(total_seconds)
+                report = self._vector_for(cache, components).validate(snapshot, inputs)
                 for stage in STAGES:
                     self._stage_hist.labels(stage=stage).observe(
                         self.stats.stage_seconds.get(stage, 0.0) - stage_before[stage]
                     )
-                self._emit_verdicts(report)
-                self._record_history(report, total_seconds)
-                return report
-
-            shard_map = self._shard_map
-            stage_start = time.perf_counter()
-            shard_map.stage_hint = "collect"
-            with tracer.span("collect", category="stage"):
-                collected = components.collector.collect(snapshot, parallel=shard_map)
-            stage_seconds = time.perf_counter() - stage_start
-            self.stats.record_stage("collect", stage_seconds)
-            self._stage_hist.labels(stage="collect").observe(stage_seconds)
-
-            stage_start = time.perf_counter()
-            shard_map.stage_hint = "harden"
-            with tracer.span("harden", category="stage"):
-                hardened = components.hardener.harden(collected, parallel=shard_map)
-            stage_seconds = time.perf_counter() - stage_start
-            self.stats.record_stage("harden", stage_seconds)
-            self._stage_hist.labels(stage="harden").observe(stage_seconds)
-
-            stage_start = time.perf_counter()
-            shard_map.stage_hint = "check"
-            report = ValidationReport(timestamp=snapshot.timestamp, hardened=hardened)
-            with tracer.span("check", category="stage"):
-                Hodor._record(
-                    report,
-                    components.demand.check(inputs.demand, hardened, parallel=shard_map),
-                )
-                Hodor._record(report, components.topology.check(inputs.topology, hardened))
-                Hodor._record(report, components.drain.check(inputs.drains, hardened))
-            stage_seconds = time.perf_counter() - stage_start
-            self.stats.record_stage("check", stage_seconds)
-            self._stage_hist.labels(stage="check").observe(stage_seconds)
+            else:
+                report = self._validate_python(snapshot, inputs, components)
 
             self.stats.epochs += 1
             total_seconds = time.perf_counter() - total_start
             self.stats.record_stage("total", total_seconds)
             self._epoch_hist.observe(total_seconds)
-            self.stats.shard_tasks = self._shard_map.tasks_dispatched
-            self.stats.shard_busy_seconds = self._shard_map.busy_seconds
             self._emit_verdicts(report)
             self._record_history(report, total_seconds)
         return report
+
+    def _validate_python(
+        self,
+        snapshot: NetworkSnapshot,
+        inputs: ControllerInputs,
+        components: _Components,
+    ) -> ValidationReport:
+        """One epoch through the per-entity reference units, stage-timed."""
+        tracer = self.tracer
+        stage_start = time.perf_counter()
+        with tracer.span("collect", category="stage"):
+            collected = components.collector.collect(snapshot)
+        self._stage_done("collect", stage_start)
+
+        stage_start = time.perf_counter()
+        with tracer.span("harden", category="stage"):
+            hardened = components.hardener.harden(collected)
+        self._stage_done("harden", stage_start)
+
+        stage_start = time.perf_counter()
+        report = ValidationReport(timestamp=snapshot.timestamp, hardened=hardened)
+        with tracer.span("check", category="stage"):
+            Hodor._record(report, components.demand.check(inputs.demand, hardened))
+            Hodor._record(report, components.topology.check(inputs.topology, hardened))
+            Hodor._record(report, components.drain.check(inputs.drains, hardened))
+        self._stage_done("check", stage_start)
+        return report
+
+    def _stage_done(self, stage: str, stage_start: float) -> None:
+        stage_seconds = time.perf_counter() - stage_start
+        self.stats.record_stage(stage, stage_seconds)
+        self._stage_hist.labels(stage=stage).observe(stage_seconds)
 
     def validate_events(
         self,
@@ -364,12 +315,11 @@ class ValidationEngine:
         :class:`~repro.stream.fold.EventFolder` (one regex decode per
         *distinct* path for the engine's whole lifetime, then dict
         lookups) and validates the folded snapshot on the configured
-        mode/backend.  Because folding replicates the reference apply
+        backend.  Because folding replicates the reference apply
         codec object for object, the report -- findings, verdicts, and
         provenance -- is byte-identical to :meth:`validate` on a
         snapshot applied the classic way; the scatter differential in
-        ``tests/stream`` enforces this across all four mode/backend
-        combinations.
+        ``tests/stream`` enforces this on both backends.
 
         Args:
             events: Deduped deliveries in sorted ``(router, uid)`` seal
@@ -392,7 +342,6 @@ class ValidationEngine:
         self.history.record(
             report,
             source="engine",
-            mode=self._mode,
             backend=self._backend,
             sealed_by="batch",
             elapsed_s=elapsed_s,
@@ -417,8 +366,9 @@ class ValidationEngine:
         ]
 
     def close(self) -> None:
-        """Release the shard pool (the caches stay valid)."""
-        self._shard_map.close()
+        """End the engine's run; it holds no pool or file, so the
+        caches stay valid and this is a no-op kept for the
+        context-manager protocol."""
 
     def __enter__(self) -> "ValidationEngine":
         return self

@@ -17,7 +17,6 @@ from repro.experiments.outage_study import OutageStudy, ScenarioOutcome, taxonom
 from repro.experiments.perturbation import PerturbationRow, PerturbationStudy
 from repro.experiments.reporting import format_percent, format_rate, format_table
 from repro.experiments.scale_study import (
-    IncrementalRow,
     ScaleRow,
     ScaleStudy,
     TraceOverheadRow,
@@ -44,7 +43,6 @@ __all__ = [
     "PerturbationRow",
     "PerturbationStudy",
     "ReportConfig",
-    "IncrementalRow",
     "ScaleRow",
     "ScaleStudy",
     "TraceOverheadRow",

@@ -4,7 +4,7 @@ The paper argues input validation must run continuously in front of
 the TE controller; production operators run not one WAN but a fleet of
 them.  :mod:`repro.fleet` is that always-on service: a
 :class:`FleetSupervisor` multiplexes independent tenants -- each with
-its own topology, feeds, cadence, and engine mode/backend -- across a
+its own topology, feeds, cadence, and engine backend -- across a
 pool of worker processes (sidestepping the GIL), with admission
 control quarantining tenants whose feeds misbehave before they can
 starve healthy ones.

@@ -37,10 +37,6 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
         help="add one catalog-scenario tenant (repeatable)",
     )
     run.add_argument(
-        "--mode", choices=("full", "incremental"), default="full",
-        help="engine epoch path for every tenant",
-    )
-    run.add_argument(
         "--backend", choices=("python", "vector"), default="python",
         help="engine backend for every tenant",
     )
@@ -75,7 +71,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             nodes=args.nodes,
             epochs=args.epochs,
             seed=args.seed,
-            mode=args.mode,
             backend=args.backend,
             history=args.history,
         )
@@ -87,7 +82,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 scenario=scenario_id,
                 epochs=args.epochs,
                 seed=args.seed,
-                mode=args.mode,
                 backend=args.backend,
                 history=args.history,
             )

@@ -210,7 +210,6 @@ async def run_tenant_async(
         with ValidationEngine(
             workload.topology,
             config=workload.hodor_config,
-            mode=spec.mode,
             backend=spec.backend,
             metrics=registry,
         ) as engine:

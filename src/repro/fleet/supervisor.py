@@ -489,7 +489,10 @@ class FleetSupervisor:
         assigned work, says goodbye, and is joined."""
         awaiting = set()
         for worker in self._workers.values():
-            if worker.done or not worker.proc.is_alive():
+            if worker.done:
+                continue
+            if not worker.proc.is_alive():
+                self._reap(worker)
                 continue
             worker.control.put(("drain",))
             awaiting.add(worker.worker_id)
@@ -501,14 +504,26 @@ class FleetSupervisor:
                 if worker.done:
                     awaiting.discard(worker_id)
                 elif not worker.proc.is_alive():
-                    # Died during drain: whatever it shipped is already
-                    # pumped; nothing further is coming.
-                    worker.done = True
+                    self._reap(worker)
                     awaiting.discard(worker_id)
             if not handled and awaiting:
                 time.sleep(self.config.poll_s)
         for worker in self._workers.values():
             worker.proc.join(timeout=10.0)
+
+    def _reap(self, worker: _Worker) -> None:
+        """Account for a worker found dead during shutdown.
+
+        Its tenants have all finished (the main loop only ends once
+        every tenant is terminal), but a worker that exits without a
+        goodbye still crashed -- e.g. a chaos crash that landed after
+        its last digest.  Pump first: a goodbye written just before a
+        clean exit is still in the pipe.
+        """
+        self._pump_worker(worker)
+        if not worker.done:
+            self._crashes += 1
+            worker.done = True
 
     def _finalize(self) -> FleetResult:
         for tenant, summary in self._summaries.items():

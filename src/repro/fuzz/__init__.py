@@ -2,7 +2,7 @@
 oracle, deterministic shrinking, and a reproducer corpus.
 
 The package closes the loop the hand-written catalog cannot: instead
-of trusting that the full, incremental, and streamed execution paths
+of trusting that the full, vector, and streamed execution paths
 agree on the scenarios we thought of, :class:`FuzzRunner` generates
 randomized multi-epoch fault timelines and *checks* that they agree on
 each one.  Any divergence (or crash) is shrunk by :class:`Shrinker` to

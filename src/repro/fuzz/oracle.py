@@ -1,19 +1,19 @@
-"""The tri-modal (now quad-modal) differential oracle.
+"""The tri-modal differential oracle.
 
 One generated timeline is executed through the repo's independent
-validation paths and every pair of answers must agree:
+validation paths, and every path must agree with the **serial
+reference**: each epoch's :class:`~repro.scenarios.world.World` runs
+the full Figure 1 pipeline, and its embedded serial Hodor report is the
+ground truth.  The three modes checked against it:
 
-1. **Serial reference** -- each epoch's :class:`~repro.scenarios.world.
-   World` runs the full Figure 1 pipeline; its embedded serial Hodor
-   report is the ground truth.
-2. **Engine modes** -- the same snapshots and inputs flow through a
-   :class:`~repro.engine.ValidationEngine` in ``full`` and
-   ``incremental`` mode (one engine per mode, kept alive across the
-   timeline so incremental caching is actually exercised).
-3. **Vector** -- the same timeline again through the array-compiled
+1. **Full** -- the same snapshots and inputs flow through a
+   :class:`~repro.engine.ValidationEngine` on the python backend, kept
+   alive across the timeline so its topology caches are reused.
+2. **Vector** -- the same timeline again through the array-compiled
    backend (:mod:`repro.core.vector`), whose delta-aware epochs must
-   reproduce the per-entity units finding-for-finding.
-4. **Streamed** -- the snapshots are decomposed into per-router feeds
+   reproduce the per-entity units finding-for-finding (one engine for
+   the whole timeline, so its cross-epoch reuse is exercised).
+3. **Streamed** -- the snapshots are decomposed into per-router feeds
    (optionally perturbed in-window), re-assembled by the watermark
    :class:`~repro.stream.assembler.EpochAssembler`, and validated by
    the ingest pipeline.
@@ -94,18 +94,17 @@ class TriModalOracle:
             Must stay above the spec's reorder jitter or in-window
             perturbations would legitimately change results.
         hooks: Optional per-mode report hooks (``"full"``,
-            ``"incremental"``, ``"vector"``, ``"streamed"``) used by
+            ``"vector"``, ``"streamed"``) used by
             mutation tests to plant divergence bugs; production runs
             pass none.
     """
 
-    MODES: Tuple[str, ...] = ("full", "incremental", "vector", "streamed")
+    MODES: Tuple[str, ...] = ("full", "vector", "streamed")
 
-    #: Oracle mode -> (engine mode, engine backend) for the engine runs.
-    _ENGINE_MODES: Tuple[Tuple[str, str, str], ...] = (
-        ("full", "full", "python"),
-        ("incremental", "incremental", "python"),
-        ("vector", "full", "vector"),
+    #: Oracle mode -> engine backend for the engine runs.
+    _ENGINE_MODES: Tuple[Tuple[str, str], ...] = (
+        ("full", "python"),
+        ("vector", "vector"),
     )
 
     def __init__(
@@ -130,11 +129,9 @@ class TriModalOracle:
             )
 
         divergences: List[ModeDivergence] = []
-        for mode, engine_mode, backend in self._ENGINE_MODES:
+        for mode, backend in self._ENGINE_MODES:
             try:
-                reports = self._engine_run(
-                    spec, epochs, inputs_by_ts, mode, engine_mode, backend
-                )
+                reports = self._engine_run(spec, epochs, inputs_by_ts, mode, backend)
             except Exception as exc:  # noqa: BLE001
                 return OracleResult(
                     passed=False,
@@ -174,13 +171,12 @@ class TriModalOracle:
         return epochs, inputs_by_ts, reference
 
     def _engine_run(
-        self, spec, epochs, inputs_by_ts, mode, engine_mode, backend
+        self, spec, epochs, inputs_by_ts, mode, backend
     ) -> List[ValidationReport]:
         hook = self.hooks.get(mode)
         reports = []
-        config = spec.hodor_config
         with ValidationEngine(
-            spec.topology, config=config, mode=engine_mode, backend=backend
+            spec.topology, config=spec.hodor_config, backend=backend
         ) as engine:
             for index, (timestamp, snapshot) in enumerate(epochs):
                 report = engine.validate(snapshot, inputs_by_ts[timestamp])
@@ -193,9 +189,7 @@ class TriModalOracle:
         hook = self.hooks.get("streamed")
         feeds = make_feeds(epochs, perturb=spec.perturb, seed=spec.perturb_seed)
         assembler = EpochAssembler(list(feeds), lateness_s=self.lateness_s)
-        with ValidationEngine(
-            spec.topology, config=spec.hodor_config, mode="full"
-        ) as engine:
+        with ValidationEngine(spec.topology, config=spec.hodor_config) as engine:
             pipeline = StreamPipeline(
                 list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts
             )

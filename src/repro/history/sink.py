@@ -15,7 +15,7 @@ Determinism: with ``HistoryConfig.deterministic`` set, the store's
 bytes depend only on the validated epochs -- ``recorded_at`` anchors
 to the epoch's virtual timestamp instead of the wall clock, measured
 latencies are recorded as zero, and timing-derived counter families
-(anything whose name mentions seconds/ms/utilisation) are dropped from
+(anything whose name mentions seconds/ms/latency) are dropped from
 snapshots.  Two identical seeded runs then produce byte-identical
 store files, which is how the reproducibility test and the fuzz
 harness can diff whole stores.
@@ -44,7 +44,7 @@ __all__ = ["HistoryConfig", "HistorySink"]
 #: Name fragments marking counter families as timing-derived; these
 #: are excluded from snapshots in deterministic mode (wall-time noise
 #: would break byte-reproducibility of the store).
-_TIMING_FRAGMENTS = ("seconds", "_ms", "utilisation", "latency")
+_TIMING_FRAGMENTS = ("seconds", "_ms", "latency")
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,6 @@ class HistorySink:
         report: ValidationReport,
         *,
         source: str = "engine",
-        mode: str = "full",
         backend: str = "python",
         sealed_by: str = "batch",
         complete: bool = True,
@@ -206,7 +205,6 @@ class HistorySink:
         epoch_id = self.store.append_epoch(
             report.timestamp,
             source=source,
-            mode=mode,
             backend=backend,
             sealed_by=sealed_by,
             complete=complete,

@@ -464,6 +464,8 @@ class HistoryStore:
 
         Args:
             ts: The epoch's virtual (snapshot) timestamp.
+            mode: Kept so existing stores open without a migration;
+                the engine has one epoch path, recorded as ``"full"``.
             signals: ``(confirmed, repaired, raw, unknown)`` hardened
                 signal disposition counts for the epoch.
             verdicts: ``(input_name, valid, num_violations,

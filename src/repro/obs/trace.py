@@ -2,17 +2,15 @@
 
 A :class:`Tracer` records a span tree per validation epoch::
 
-    epoch #12 (mode=full)
+    epoch #12 (backend=vector)
       +- collect
       +- harden
-      |    +- shard[0] slice harden.flows
-      |    +- shard[1] slice harden.flows
       +- check
       *  verdict: demand (provenance instant)
 
 Spans nest via a per-thread context stack, so instrumented code never
-threads span handles through call signatures; shard workers running on
-pool threads receive an explicit ``parent=`` id captured on the calling
+threads span handles through call signatures; work running on another
+thread can pass an explicit ``parent=`` id captured on the calling
 thread.  Time comes from an injected monotonic clock
 (:func:`repro.obs.clock.monotonic_clock` by default, a
 :class:`~repro.obs.clock.ManualClock` in tests), which keeps hodor-lint

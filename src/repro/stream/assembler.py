@@ -19,7 +19,7 @@ Until it seals, an epoch buffers deliveries keyed by ``(router, uid)``
 snapshot independent of arrival interleaving: at seal time the buffer
 is applied in sorted key order.  A delivery for an already-sealed
 epoch is *late*: counted and dropped, never applied (a late write
-mutating history would desynchronise the engine's incremental state).
+mutating history would desynchronise the engine's delta-tracking state).
 
 Sealed epochs are **partial** when some expected router contributed
 nothing: its signals are simply absent from the snapshot, which

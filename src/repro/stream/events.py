@@ -18,8 +18,7 @@ snapshot and event representations:
 
 The round trip is *validation-exact*: rebuilding a snapshot from its
 full update set yields one that is signal-for-signal identical to the
-original (``SnapshotDelta.between(...)`` is empty at any staleness
-bound), which is what lets the differential harness prove the streamed
+original, which is what lets the differential harness prove the streamed
 path verdict-identical to the batch path.
 """
 

@@ -16,8 +16,8 @@ for counter and status halves, identical raw-value passthrough
 defaults -- so a folded snapshot is signal-for-signal identical to an
 applied one.  The scatter differential in
 ``tests/stream/test_scatter_differential.py`` holds the two paths to
-byte-identical validation reports and provenance across every engine
-mode/backend combination.
+byte-identical validation reports and provenance on both engine
+backends.
 
 This is the seam that lets the ingest pipeline run with
 ``build_snapshots=False`` on the assembler: sealed epochs carry their

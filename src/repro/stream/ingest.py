@@ -5,8 +5,8 @@
 into one bounded queue; a single consumer drains it into the
 :class:`~repro.stream.assembler.EpochAssembler`; every epoch the
 assembler seals is validated immediately by a
-:class:`~repro.engine.ValidationEngine` (full or incremental mode --
-the pipeline does not care).
+:class:`~repro.engine.ValidationEngine` (either backend -- the pipeline
+does not care).
 
 Design points:
 
@@ -186,7 +186,7 @@ class StreamPipeline:
         assembler: The epoch assembler; its expected-router set should
             cover the feeds or sealing will not wait for them.
         engine: A :class:`~repro.engine.ValidationEngine` (either
-            mode); called synchronously as epochs seal, so engine
+            backend); called synchronously as epochs seal, so engine
             latency is the pipeline's natural backpressure source.
         inputs_for: Controller inputs per epoch -- a callable taking
             the epoch timestamp, or a mapping keyed by it.
@@ -440,7 +440,6 @@ class StreamPipeline:
             self.history.record(
                 report,
                 source="stream",
-                mode=getattr(self._engine, "mode", "full"),
                 backend=getattr(self._engine, "backend", "python"),
                 sealed_by=epoch.sealed_by,
                 complete=epoch.complete,

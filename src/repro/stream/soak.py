@@ -13,7 +13,7 @@ The fixture is the scale study's: a random Waxman topology with
 gravity demand, telemetry collected once and then churned per epoch by
 :func:`repro.experiments.scale_study.churn_snapshot` (R1-preserving
 link re-measurement), so streamed epochs carry realistic steady-state
-deltas and the incremental engine mode has reuse to find.  Heavy
+deltas and the vector backend's delta tracking has reuse to find.  Heavy
 dependencies are imported lazily so ``repro.stream`` stays cheap to
 import.
 """
@@ -45,9 +45,7 @@ class SoakConfig:
         epoch_spacing_s: Virtual seconds between collection instants.
         lateness_s: Assembler lateness window (virtual seconds).
         perturb: Feed delivery perturbations.
-        mode: Engine mode, ``"full"`` or ``"incremental"``.
         backend: Engine backend, ``"python"`` or ``"vector"``.
-        shards: Engine shard count.
         queue_size: Ingest queue bound.
         backpressure: ``"block"`` or ``"drop-oldest"``.
         deterministic: Merged single-producer delivery order.
@@ -78,9 +76,7 @@ class SoakConfig:
     epoch_spacing_s: float = 10.0
     lateness_s: float = 2.0
     perturb: Perturbations = Perturbations(reorder=0.10, drop=0.01, duplicate=0.02)
-    mode: str = "full"
     backend: str = "python"
-    shards: int = 1
     queue_size: int = 256
     backpressure: str = "block"
     deterministic: bool = True
@@ -248,9 +244,7 @@ def run_soak(
     )
     with ValidationEngine(
         topology,
-        mode=config.mode,
         backend=config.backend,
-        shards=config.shards,
         metrics=registry,
         tracer=tracer,
     ) as engine:

@@ -1,4 +1,4 @@
-"""C1 fixture (bad): units missing from one or both registries."""
+"""C1 fixture (bad): a unit neither the serial path nor the vector backend runs."""
 
 
 class Collector:

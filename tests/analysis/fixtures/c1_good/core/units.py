@@ -1,4 +1,4 @@
-"""C1 fixture (good): unit wired into serial and incremental paths."""
+"""C1 fixture (good): unit wired into the serial and vector paths."""
 
 
 class Collector:

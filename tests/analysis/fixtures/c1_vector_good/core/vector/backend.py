@@ -1,8 +1,8 @@
 """C1 fixture (good): array backend with a replacement manifest.
 
 ``harden_span_entity`` is replicated as array math here rather than
-dispatched; naming it in this manifest satisfies the three-way C1
-coverage check.
+dispatched; naming it in this manifest satisfies the C1 coverage
+check.
 """
 
 

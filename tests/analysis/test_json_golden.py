@@ -47,7 +47,7 @@ def test_lint_result_rejects_unknown_payload_version():
 
 
 def _populated_stats():
-    stats = EngineStats(shards=3, mode="incremental")
+    stats = EngineStats(backend="vector")
     stats.epochs = 7
     stats.cache_hits = 6
     stats.cache_misses = 1
@@ -55,8 +55,6 @@ def _populated_stats():
     stats.record_stage("harden", 0.5)
     stats.record_stage("check", 0.125)
     stats.record_stage("total", 1.0)
-    stats.shard_tasks = 21
-    stats.shard_busy_seconds = 0.75
     stats.record_reuse("counters", 4, 60)
     stats.record_reuse("demand", 2, 30)
     stats.repair_solves = 3

@@ -3,7 +3,7 @@
 Drives ``python -m repro engine`` over every catalog scenario with
 ``--trace``/``--trace-jsonl``/``--metrics-prom`` and checks the whole
 observability contract end to end: the Chrome export is schema-valid
-with one epoch span per replayed epoch and nested stage/shard spans,
+with one epoch span per replayed epoch and nested stage spans,
 every flagged verdict instant carries provenance naming the fired
 invariants and their signals, and the Prometheus exposition parses and
 round-trips the engine's own counters.
@@ -42,8 +42,6 @@ def traced_run(tmp_path_factory):
                 "engine",
                 "--epochs",
                 str(EPOCHS),
-                "--shards",
-                "2",
                 "--json",
                 "--trace",
                 str(paths["chrome"]),
@@ -97,7 +95,7 @@ class TestChromeTraceSchema:
         ]
         assert len(epochs) == len(all_scenarios()) * EPOCHS
 
-    def test_epochs_nest_stage_and_shard_spans(self, chrome_payload):
+    def test_epochs_nest_stage_spans(self, chrome_payload):
         spans = [e for e in chrome_payload["traceEvents"] if e["ph"] == "X"]
         by_parent = {}
         for span in spans:
@@ -106,17 +104,6 @@ class TestChromeTraceSchema:
         for epoch_id in epoch_ids:
             stages = {s["name"] for s in by_parent.get(epoch_id, [])}
             assert stages == {"collect", "harden", "check"}
-        stage_ids = {
-            s["args"]["span_id"]
-            for s in spans
-            if s["name"] in ("collect", "harden", "check")
-        }
-        shard_spans = [s for s in spans if s["name"] == "shard"]
-        assert shard_spans, "sharded stages must record slice spans"
-        for shard in shard_spans:
-            assert shard["args"]["parent_id"] in stage_ids
-            assert shard["args"]["items"] > 0
-            assert shard["cat"] == "shard"
 
     def test_scenario_instants_mark_replay_boundaries(self, chrome_payload):
         scenario_ids = [
@@ -197,8 +184,7 @@ class TestPrometheusRoundTrip:
         assert sample("engine_epochs_total") == stats["epochs"]
         assert sample("engine_cache_hits_total") == stats["cache_hits"]
         assert sample("engine_cache_misses_total") == stats["cache_misses"]
-        assert sample("engine_shard_tasks_total") == stats["shard_tasks"]
-        assert sample("engine_shards") == stats["shards"]
+        assert sample("engine_backend_info", backend=stats["backend"]) == 1.0
         for stage in ("collect", "harden", "check"):
             assert sample("engine_stage_seconds_total", stage=stage) == pytest.approx(
                 stats["stage_seconds"][stage]

@@ -4,9 +4,8 @@ The vector backend's contract is total observational equivalence: for
 every snapshot the per-entity reference units can validate, the
 array-compiled path must produce a byte-identical
 :class:`~repro.core.report.ValidationReport` *and* identical
-:class:`~repro.obs.provenance.VerdictProvenance` records -- in full
-mode, in incremental mode, on priming epochs, on deltas, and on
-identical-snapshot replays.  These tests pin that contract over the
+:class:`~repro.obs.provenance.VerdictProvenance` records -- on
+priming epochs, on deltas, and on identical-snapshot replays.  These tests pin that contract over the
 whole outage catalog, randomized worlds, and hypothesis-driven fuzz
 timelines.
 """
@@ -20,8 +19,6 @@ from repro.fuzz.generate import CaseGenerator
 from repro.scenarios.catalog import all_scenarios
 
 from tests.engine.conftest import random_epoch
-
-MODES = ("full", "incremental")
 
 
 def _provenance_dict(report):
@@ -43,9 +40,8 @@ def _scenario_ids():
 class TestCatalogParity:
     """Every catalog scenario, serial reference vs vector engine."""
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("scenario_id", _scenario_ids())
-    def test_timeline_parity(self, scenario_id, mode):
+    def test_timeline_parity(self, scenario_id):
         scenario = next(
             s for s in all_scenarios() if s.scenario_id == scenario_id
         )
@@ -53,7 +49,6 @@ class TestCatalogParity:
         with ValidationEngine(
             world.topology,
             config=world.hodor_config,
-            mode=mode,
             backend="vector",
         ) as engine:
             for epoch in range(3):
@@ -62,38 +57,36 @@ class TestCatalogParity:
                 assert_reports_identical(
                     outcome.report,
                     report,
-                    context=f"{scenario_id} {mode} epoch {epoch}",
+                    context=f"{scenario_id} epoch {epoch}",
                 )
             assert engine.stats.backend == "vector"
             assert engine.stats.epochs == 3
 
 
 class TestRandomWorlds:
-    """Random Waxman worlds, clean and corrupted, both modes."""
+    """Random Waxman worlds, clean and corrupted."""
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
         "size,seed,corrupted",
         [(6, 0, False), (8, 1, False), (12, 2, True), (16, 3, True)],
     )
-    def test_single_epoch_parity(self, size, seed, corrupted, mode):
+    def test_single_epoch_parity(self, size, seed, corrupted):
         topology, snapshot, inputs = random_epoch(size, seed, corrupted=corrupted)
-        with ValidationEngine(topology, mode=mode) as serial:
+        with ValidationEngine(topology) as serial:
             reference = serial.validate(snapshot, inputs)
-        with ValidationEngine(topology, mode=mode, backend="vector") as engine:
+        with ValidationEngine(topology, backend="vector") as engine:
             report = engine.validate(snapshot, inputs)
         assert_reports_identical(
             reference, report, context=f"size={size} seed={seed}"
         )
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_identical_snapshot_replay(self, mode):
+    def test_identical_snapshot_replay(self):
         """Replaying the same snapshot object takes the wholesale
         short-circuit and still reproduces the serial report exactly."""
         topology, snapshot, inputs = random_epoch(10, 4)
-        with ValidationEngine(topology, mode=mode) as serial:
+        with ValidationEngine(topology) as serial:
             reference = serial.validate(snapshot, inputs)
-        with ValidationEngine(topology, mode=mode, backend="vector") as engine:
+        with ValidationEngine(topology, backend="vector") as engine:
             for replay in range(3):
                 report = engine.validate(snapshot, inputs)
                 assert_reports_identical(
@@ -101,9 +94,8 @@ class TestRandomWorlds:
                 )
 
     def test_vector_records_reuse_on_replay(self):
-        """Unlike the python full path, the vector backend is
-        delta-aware in both modes: an identical replay shows up as
-        reused entities in the stats."""
+        """Unlike the python path, the vector backend is delta-aware:
+        an identical replay shows up as reused entities in the stats."""
         topology, snapshot, inputs = random_epoch(10, 5)
         with ValidationEngine(topology, backend="vector") as engine:
             engine.validate(snapshot, inputs)
@@ -137,9 +129,9 @@ class TestFuzzTimelineParity:
     links, malformed drains -- must stay finding-identical.
     """
 
-    @given(seed=st.integers(min_value=0, max_value=500), mode=st.sampled_from(MODES))
+    @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=12, deadline=None)
-    def test_generated_timeline_parity(self, seed, mode):
+    def test_generated_timeline_parity(self, seed):
         spec = CaseGenerator().generate(seed)
         epochs = []
         references = []
@@ -149,12 +141,12 @@ class TestFuzzTimelineParity:
             epochs.append((outcome.snapshot, outcome.inputs))
             references.append(outcome.report)
         with ValidationEngine(
-            spec.topology, config=spec.hodor_config, mode=mode, backend="vector"
+            spec.topology, config=spec.hodor_config, backend="vector"
         ) as engine:
             for index, (snapshot, inputs) in enumerate(epochs):
                 report = engine.validate(snapshot, inputs)
                 assert_reports_identical(
                     references[index],
                     report,
-                    context=f"seed={seed} mode={mode} epoch={index}",
+                    context=f"seed={seed} epoch={index}",
                 )

@@ -78,8 +78,6 @@ class TestSpec:
             TenantSpec(tenant="")
         with pytest.raises(ValueError, match="must not contain"):
             TenantSpec(tenant="a/b")
-        with pytest.raises(ValueError, match="unknown mode"):
-            TenantSpec(tenant="t0", mode="turbo")
         with pytest.raises(ValueError, match="unknown backend"):
             TenantSpec(tenant="t0", backend="gpu")
         with pytest.raises(ValueError, match="epochs"):

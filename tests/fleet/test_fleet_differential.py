@@ -4,11 +4,11 @@ Catalog scenarios run as fleet tenants must produce digests --
 verdicts, provenance, fingerprints -- identical to the same spec run
 standalone through :func:`repro.fleet.scenario.run_tenant`, and the
 standalone digests must in turn match a direct single-engine batch
-run.  Both engine modes and both backends are covered, so the full
-chain batch == standalone stream == in-fleet holds for every combo.
+run.  Both engine backends are covered, so the full chain batch ==
+standalone stream == in-fleet holds for each.
 
-One supervisor run carries the whole matrix (3 scenarios x 2 modes x
-2 backends = 12 tenants over 2 workers) -- the differential is
+One supervisor run carries the whole matrix (3 scenarios x 2 backends
+= 6 tenants over 2 workers) -- the differential is
 per-tenant, so multiplexing them is itself part of the test: tenants
 must not bleed into each other's verdicts.
 """
@@ -31,18 +31,16 @@ EPOCHS = 3
 def _matrix_specs():
     specs = []
     for scenario in SCENARIOS:
-        for mode in ("full", "incremental"):
-            for backend in ("python", "vector"):
-                specs.append(
-                    TenantSpec(
-                        tenant=f"{scenario}-{mode}-{backend}",
-                        scenario=scenario,
-                        epochs=EPOCHS,
-                        seed=11,
-                        mode=mode,
-                        backend=backend,
-                    )
+        for backend in ("python", "vector"):
+            specs.append(
+                TenantSpec(
+                    tenant=f"{scenario}-{backend}",
+                    scenario=scenario,
+                    epochs=EPOCHS,
+                    seed=11,
+                    backend=backend,
                 )
+            )
     return specs
 
 
@@ -54,7 +52,7 @@ def fleet_result():
 
 
 def test_all_matrix_tenants_complete(fleet_result):
-    assert fleet_result.statuses() == {"done": len(SCENARIOS) * 4}
+    assert fleet_result.statuses() == {"done": len(SCENARIOS) * 2}
     assert fleet_result.errors == []
     assert fleet_result.crashes == 0
     for summary in fleet_result.tenants.values():
@@ -63,17 +61,15 @@ def test_all_matrix_tenants_complete(fleet_result):
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("mode", ["full", "incremental"])
 @pytest.mark.parametrize("backend", ["python", "vector"])
-def test_in_fleet_matches_standalone(fleet_result, scenario, mode, backend):
+def test_in_fleet_matches_standalone(fleet_result, scenario, backend):
     """Fleet digests byte-match a standalone run of the same spec."""
-    tenant = f"{scenario}-{mode}-{backend}"
+    tenant = f"{scenario}-{backend}"
     spec = TenantSpec(
         tenant=tenant,
         scenario=scenario,
         epochs=EPOCHS,
         seed=11,
-        mode=mode,
         backend=backend,
     )
     standalone = run_tenant(spec)
@@ -93,20 +89,19 @@ def test_fleet_matches_single_engine_batch(fleet_result, scenario):
     reports (single engine, no streaming, no fleet) digest to the same
     verdict and provenance payloads the fleet shipped.
     """
-    for mode in ("full", "incremental"):
-        for backend in ("python", "vector"):
-            tenant = f"{scenario}-{mode}-{backend}"
-            in_fleet = fleet_result.tenants[tenant].digests
-            batch_world = scenario_by_id(scenario).build(seed=11)
-            for index, fleet_digest in enumerate(in_fleet):
-                outcome = batch_world.run_epoch(timestamp=float(index) * 10.0)
-                batch = digest_report(tenant, _BatchEpoch(outcome), outcome.report)
-                assert fleet_digest.verdicts == batch.verdicts, (
-                    f"{tenant} epoch {index}: verdicts diverged from batch"
-                )
-                assert fleet_digest.provenance_json == batch.provenance_json, (
-                    f"{tenant} epoch {index}: provenance diverged from batch"
-                )
+    for backend in ("python", "vector"):
+        tenant = f"{scenario}-{backend}"
+        in_fleet = fleet_result.tenants[tenant].digests
+        batch_world = scenario_by_id(scenario).build(seed=11)
+        for index, fleet_digest in enumerate(in_fleet):
+            outcome = batch_world.run_epoch(timestamp=float(index) * 10.0)
+            batch = digest_report(tenant, _BatchEpoch(outcome), outcome.report)
+            assert fleet_digest.verdicts == batch.verdicts, (
+                f"{tenant} epoch {index}: verdicts diverged from batch"
+            )
+            assert fleet_digest.provenance_json == batch.provenance_json, (
+                f"{tenant} epoch {index}: provenance diverged from batch"
+            )
 
 
 class _BatchEpoch:

@@ -1,7 +1,7 @@
 """Mutation test: a planted mode-divergence bug is found and shrunk.
 
 The PR's acceptance gate: plant a deliberate divergence between the
-incremental path and the serial reference (via the oracle's hooks
+vector path and the serial reference (via the oracle's hooks
 seam), prove the tri-modal oracle catches it on a deliberately bloated
 timeline, and prove the deterministic shrinker minimizes that timeline
 to a reproducer of at most 3 epochs and at most 2 faults that still
@@ -34,7 +34,7 @@ from repro.topologies.synthetic import ring_topology
 
 def _flip_first_verdict_when_findings(index, report):
     """The planted bug: whenever hardening produced findings, the
-    incremental path flips one verdict.  Divergence therefore needs a
+    vector path flips one verdict.  Divergence therefore needs a
     fault actually present -- benign epochs agree, so the shrinker
     cannot shrink past the faults that matter."""
     if not report.hardened.findings:
@@ -72,7 +72,7 @@ def bloated_spec():
 
 @pytest.fixture(scope="module")
 def hooked_oracle():
-    return TriModalOracle(hooks={"incremental": _flip_first_verdict_when_findings})
+    return TriModalOracle(hooks={"vector": _flip_first_verdict_when_findings})
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ class TestPlantedBugIsFound:
         result = hooked_oracle.run(bloated_spec)
         assert result.failed
         assert result.kind == "divergence"
-        assert any(d.mode == "incremental" for d in result.divergences)
+        assert any(d.mode == "vector" for d in result.divergences)
 
     def test_clean_oracle_passes_the_same_spec(self, bloated_spec):
         assert TriModalOracle().run(bloated_spec).passed
@@ -117,7 +117,7 @@ class TestCorpusRoundTrip:
             spec=shrunk.spec,
             case_seed=5,
             kind="divergence",
-            detail="planted incremental flip",
+            detail="planted vector flip",
         )
         save_reproducer(reproducer, tmp_path)
         loaded = load_corpus(tmp_path)
@@ -130,9 +130,7 @@ class TestCorpusRoundTrip:
         bug in generated cases too and lands a minimized reproducer."""
         from repro.fuzz import FuzzRunner
 
-        oracle = TriModalOracle(
-            hooks={"incremental": _flip_first_verdict_when_findings}
-        )
+        oracle = TriModalOracle(hooks={"vector": _flip_first_verdict_when_findings})
         runner = FuzzRunner(
             seed=3,
             budget_s=None,

@@ -1,8 +1,16 @@
 """EpochAssembler: watermarks, dedupe, partial epochs, lateness."""
 
-import pytest
+import random
 
-from repro.stream import EpochAssembler, UpdateEvent
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.stream import EpochAssembler, UpdateEvent, reporting_routers, router_updates
+from repro.telemetry.counters import CounterReading
+from repro.telemetry.snapshot import NetworkSnapshot
+
+from tests.engine.conftest import random_epoch
 
 
 def _event(router, epoch_ts, uid, emit_ts=None, node=None):
@@ -139,3 +147,96 @@ class TestDrainAndMetrics:
         (right,) = backward.drain()
         assert left.snapshot.drains == right.snapshot.drains
         assert left.coverage == right.coverage
+
+
+def _assemble(events, snapshot, lateness_s=1.0):
+    """Push an event sequence through an assembler; return the snapshot."""
+    assembler = EpochAssembler(reporting_routers(snapshot), lateness_s=lateness_s)
+    sealed = []
+    for event in events:
+        sealed.extend(assembler.offer(event))
+    sealed.extend(assembler.drain())
+    assert len(sealed) == 1
+    return sealed[0].snapshot
+
+
+def _events_for(snapshot):
+    events = []
+    for router in reporting_routers(snapshot):
+        for uid, (path, value, meta) in enumerate(router_updates(snapshot, router)):
+            events.append(
+                UpdateEvent(
+                    router=router,
+                    path=path,
+                    epoch_ts=snapshot.timestamp,
+                    emit_ts=snapshot.timestamp,
+                    uid=uid,
+                    value=value,
+                    meta=meta,
+                )
+            )
+    return events
+
+
+class TestAssemblerStreamInvariance:
+    """Reordered/duplicated update streams cannot change the snapshot.
+
+    The streaming path replaces batch snapshots with per-path update
+    events.  These properties pin the contract the stream subsystem
+    leans on: for *any* permutation of the update sequence, with
+    arbitrary duplicated deliveries mixed in, the assembled snapshot
+    equals the one the router updates were taken from.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        order_seed=st.integers(min_value=0, max_value=2**16),
+        dup_stride=st.integers(min_value=2, max_value=7),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_permuted_duplicated_stream_assembles_losslessly(
+        self, seed, order_seed, dup_stride
+    ):
+        _topology, target, _inputs = random_epoch(8, seed)
+        events = _events_for(target)
+        rng = random.Random(order_seed)
+        rng.shuffle(events)
+        stream = []
+        for index, event in enumerate(events):
+            stream.append(event)
+            if index % dup_stride == 0:  # redeliver with the same uid
+                stream.append(event)
+        assert _assemble(stream, target) == target
+
+    def test_interleaved_counter_halves_merge_order_free(self):
+        """rx/tx halves of distinct interfaces arriving interleaved and
+        reversed still merge into the exact target readings."""
+        target = NetworkSnapshot(
+            timestamp=30.0,
+            counters={
+                ("a", "b"): CounterReading(
+                    rx_rate=1.0, tx_rate=2.0, timestamp=25.0, sequence=3
+                ),
+                ("a", "c"): CounterReading(
+                    rx_rate=4.0, tx_rate=8.0, timestamp=26.0, sequence=4
+                ),
+            },
+        )
+        events = _events_for(target)
+        assert _assemble(events, target) == target
+        assert _assemble(reversed(events), target) == target
+
+    def test_duplicated_counter_updates_are_deduped_not_reapplied(self):
+        target = NetworkSnapshot(
+            timestamp=10.0, counters={("a", "b"): CounterReading(rx_rate=1.0, tx_rate=2.0)}
+        )
+        events = _events_for(target)
+        assembler = EpochAssembler(reporting_routers(target), lateness_s=1.0)
+        sealed = []
+        for event in events + events + events:  # every update delivered thrice
+            sealed.extend(assembler.offer(event))
+        sealed.extend(assembler.drain())
+        (epoch,) = sealed
+        assert epoch.duplicates == len(events) * 2
+        assert epoch.updates == len(events)
+        assert epoch.snapshot == target

@@ -31,9 +31,9 @@ class TestStreamScenario:
             }
         ]
 
-    def test_incremental_mode(self, capsys):
+    def test_vector_backend(self, capsys):
         assert main(
-            ["stream", "--scenario", "S16", "--epochs", "2", "--mode", "incremental"]
+            ["stream", "--scenario", "S16", "--epochs", "2", "--backend", "vector"]
         ) == 0
         assert "yes" in capsys.readouterr().out
 

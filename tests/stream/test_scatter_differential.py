@@ -4,7 +4,7 @@ The scatter path (``EpochAssembler(build_snapshots=False)`` +
 ``ValidationEngine.validate_events``) replaces the assembler's
 per-event ``SignalPath.parse`` with :class:`repro.stream.fold.EventFolder`'s
 cached decode.  Its correctness bar is absolute: for every catalog
-scenario, every engine mode and backend, the folded pipeline must
+scenario, on both engine backends, the folded pipeline must
 produce verdicts AND provenance identical to the classic applied
 pipeline -- and both identical to batch.  Any drift here would poison
 the fleet differential (which runs tenants through the scatter path).
@@ -37,11 +37,11 @@ def _timeline(world):
     return epochs, inputs_by_ts, batch_reports
 
 
-def _stream_reports(world, epochs, inputs_by_ts, mode, backend, scatter, perturb=None, seed=0):
+def _stream_reports(world, epochs, inputs_by_ts, backend, scatter, perturb=None, seed=0):
     feeds = make_feeds(epochs, perturb=perturb, seed=seed)
     assembler = EpochAssembler(list(feeds), lateness_s=1.0, build_snapshots=not scatter)
     with ValidationEngine(
-        world.topology, config=world.hodor_config, mode=mode, backend=backend
+        world.topology, config=world.hodor_config, backend=backend
     ) as engine:
         pipeline = StreamPipeline(
             list(feeds.values()), assembler, engine, inputs_for=inputs_by_ts
@@ -51,30 +51,23 @@ def _stream_reports(world, epochs, inputs_by_ts, mode, backend, scatter, perturb
 
 @pytest.mark.parametrize("scenario", all_scenarios(), ids=lambda s: s.scenario_id)
 def test_scatter_matches_batch_all_modes_and_backends(scenario):
-    """Every catalog scenario, scattered, across all 4 engine combos."""
+    """Every catalog scenario, scattered, on both engine backends."""
     world = scenario.build(seed=7)
     epochs, inputs_by_ts, batch_reports = _timeline(world)
-    for mode in ("full", "incremental"):
-        for backend in ("python", "vector"):
-            result = _stream_reports(
-                world, epochs, inputs_by_ts, mode, backend, scatter=True
+    for backend in ("python", "vector"):
+        result = _stream_reports(world, epochs, inputs_by_ts, backend, scatter=True)
+        assert len(result.reports) == EPOCHS
+        assert result.complete_epochs == EPOCHS
+        assert all(e.snapshot is None for e in result.epochs)
+        assert all(e.events for e in result.epochs)
+        for index, (batch, streamed) in enumerate(zip(batch_reports, result.reports)):
+            diffs = compare_reports(batch, streamed)
+            assert not diffs, (
+                f"{scenario.scenario_id} {backend} epoch {index}: {diffs[:5]}"
             )
-            assert len(result.reports) == EPOCHS
-            assert result.complete_epochs == EPOCHS
-            assert all(e.snapshot is None for e in result.epochs)
-            assert all(e.events for e in result.epochs)
-            for index, (batch, streamed) in enumerate(
-                zip(batch_reports, result.reports)
-            ):
-                diffs = compare_reports(batch, streamed)
-                assert not diffs, (
-                    f"{scenario.scenario_id} {mode}/{backend} epoch {index}: "
-                    f"{diffs[:5]}"
-                )
-                assert _provenance_dict(batch) == _provenance_dict(streamed), (
-                    f"{scenario.scenario_id} {mode}/{backend} epoch {index}: "
-                    "provenance diverged"
-                )
+            assert _provenance_dict(batch) == _provenance_dict(streamed), (
+                f"{scenario.scenario_id} {backend} epoch {index}: provenance diverged"
+            )
 
 
 @pytest.mark.parametrize("scenario_id", ["S01", "S16"])
@@ -86,11 +79,11 @@ def test_scatter_equals_classic_under_perturbation(scenario_id):
     epochs, inputs_by_ts, _ = _timeline(world)
     perturb = Perturbations(reorder=0.5, duplicate=0.3, reorder_jitter_s=0.4)
     classic = _stream_reports(
-        world, epochs, inputs_by_ts, "full", "python",
+        world, epochs, inputs_by_ts, "python",
         scatter=False, perturb=perturb, seed=11,
     )
     scattered = _stream_reports(
-        world, epochs, inputs_by_ts, "full", "python",
+        world, epochs, inputs_by_ts, "python",
         scatter=True, perturb=perturb, seed=11,
     )
     assert scattered.duplicates == classic.duplicates > 0
